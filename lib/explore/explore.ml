@@ -11,6 +11,7 @@ module Checker = Dtx_check.Checker
 module Workload = Dtx_workload.Workload
 module Xml_parser = Dtx_xml.Parser
 module Rng = Dtx_util.Rng
+module Commute_rules = Dtx_protocol.Commute_rules
 
 (* ------------------------------------------------------------------ *)
 (* Scenarios                                                           *)
@@ -139,7 +140,8 @@ type outcome = {
   o_max_depth : int;  (** longest decision sequence seen *)
   o_violating : violating_schedule list;  (** first few, with full reports *)
   o_violations : int;  (** total violations across all schedules *)
-  o_unsound : string list;  (** {!Commute.self_check} findings (gate input) *)
+  o_unsound : string list;
+      (** {!Commute_rules.self_check} findings (gate input) *)
   o_truncated : bool;
       (** a budget cap was hit: results are a bounded, not exhaustive,
           statement *)
@@ -269,7 +271,7 @@ let independent_en verdicts a b =
                (fun j ->
                  match (i, j) with
                  | Some gi, Some gj ->
-                   Commute.independent verdicts.(gi).(gj)
+                   Commute_rules.independent verdicts.(gi).(gj)
                  | _ -> false)
                ys)
            xs
@@ -465,12 +467,12 @@ let explore ?(config = default_config) scen =
   let cfg = config in
   let flat_ops = Array.of_list (List.concat_map snd (txn_ops scen)) in
   let commute =
-    Commute.create ~protocol:cfg.protocol
+    Commute_rules.create ~protocol:cfg.protocol
       ~docs:(List.map (fun (n, xml, _) -> (n, xml)) scen.sc_docs)
   in
-  let verdicts = Commute.matrix commute flat_ops in
+  let verdicts = Commute_rules.matrix commute flat_ops in
   let unsound =
-    match Commute.self_check commute flat_ops with
+    match Commute_rules.self_check commute flat_ops with
     | Ok () -> []
     | Error msgs -> msgs
   in

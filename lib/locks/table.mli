@@ -28,11 +28,10 @@ type resource
     writers of another. *)
 
 val preintern_doc : string -> unit
-(** Intern a document name into the process-global symbol table now, on
-    the calling (main) domain. Site setup warms every replica's name so
-    the per-lock fast path never grows the table from a worker domain —
-    growth there assigns ids in mutex-arrival order, which the parallel
-    tick cannot make deterministic (and DTX_RACE=1 reports). *)
+(** Intern a document name into the process-global symbol table now. Site
+    setup warms every replica's name in site-creation order, so document
+    ids (and the packed resources built from them) do not depend on which
+    document a workload happens to lock first. *)
 
 val resource : string -> int -> resource
 (** Plain structural resource (no value dimension). Node ids must fit 28

@@ -8,8 +8,9 @@
     Elements carry a [(time, seq)] key read through the accessors given to
     {!create}; the queue dispatches in strictly increasing [(time, seq)]
     order. Equal times land in the same bucket and the per-bucket lists are
-    kept sorted by [(time, seq)], so FIFO tie order is exactly the binary
-    heap's — swapping one queue for the other cannot reorder a schedule.
+    kept sorted by [(time, seq)], so FIFO tie order is exactly that of a
+    binary heap over the same key (the test suite checks the two against
+    each other).
     Every sizing decision (growth, shrink, bucket width) is a pure function
     of queue content, so runs are deterministic. *)
 

@@ -1,3 +1,5 @@
+module Vec = Dtx_util.Vec
+
 type 'a t = {
   cmp : 'a -> 'a -> int;
   data : 'a Vec.t;

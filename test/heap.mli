@@ -1,5 +1,6 @@
-(** Binary min-heaps, parameterised by an explicit comparison. Used by the
-    discrete-event simulator for its event queue. All operations are the
+(** Binary min-heaps, parameterised by an explicit comparison: the test
+    suite's reference priority queue, against which the simulator's
+    calendar queue and dispatch order are checked. All operations are the
     standard O(log n) / O(1). *)
 
 type 'a t

@@ -13,7 +13,7 @@ module Protocol = Dtx_protocol.Protocol
 module Allocation = Dtx_frag.Allocation
 module Xml_parser = Dtx_xml.Parser
 module Printer = Dtx_xml.Printer
-module Commute = Dtx_explore.Commute
+module Commute_rules = Dtx_protocol.Commute_rules
 module Explore = Dtx_explore.Explore
 
 let checkb = Alcotest.(check bool)
@@ -45,42 +45,47 @@ let pool =
      "INSERT BEFORE /r/b/z <k>7</k>";
      "INSERT AFTER /r/a/y <m2>6</m2>" |]
 
-let analyzer () = Commute.create ~protocol:Protocol.xdgl ~docs:[ ("D", pool_doc) ]
+let analyzer () =
+  Commute_rules.create ~protocol:Protocol.xdgl ~docs:[ ("D", pool_doc) ]
 
-let decide t i j = Commute.decide t ("D", op pool.(i)) ("D", op pool.(j))
+let decide t i j = Commute_rules.decide t ("D", op pool.(i)) ("D", op pool.(j))
 
 let test_decide_expectations () =
   let t = analyzer () in
   let cross =
-    Commute.decide t ("D", op "CHANGE /r/a/x TO \"v\"") ("E", op "REMOVE /r/b")
+    Commute_rules.decide t
+      ("D", op "CHANGE /r/a/x TO \"v\"")
+      ("E", op "REMOVE /r/b")
   in
-  checkb "different documents commute" true (cross = Commute.Commutes);
-  checkb "two queries commute" true (decide t 0 1 = Commute.Commutes);
+  checkb "different documents commute" true (cross = Commute_rules.Commutes);
+  checkb "two queries commute" true (decide t 0 1 = Commute_rules.Commutes);
   checkb "query vs change of same subtree conflicts" true
-    (decide t 0 2 = Commute.Conflicts);
-  checkb "disjoint-subtree writes commute" true (decide t 2 4 = Commute.Commutes);
+    (decide t 0 2 = Commute_rules.Conflicts);
+  checkb "disjoint-subtree writes commute" true
+    (decide t 2 4 = Commute_rules.Commutes);
   (* INSERT AFTER /r/a/x reads x's position; the rules lock only the connect
      node, the analyzer's virtual ST must still see RENAME's XT on x. *)
   checkb "insert-after vs rename of its target conflicts" true
-    (decide t 9 7 = Commute.Conflicts);
+    (decide t 9 7 = Commute_rules.Conflicts);
   (* INSERT INTO's own virtual position read on the connect node collides
      with the sibling insert's SB lock there: conservatively Conflicts. *)
   checkb "insert-into vs insert-before same parent conflicts" true
-    (decide t 8 10 = Commute.Conflicts);
+    (decide t 8 10 = Commute_rules.Conflicts);
   (* Two INSERT AFTERs with different targets under one parent: mutually
      compatible SA locks, no footprint conflict, but sibling order depends
      on who goes first. *)
   checkb "order-sensitive insert pair is unknown" true
-    (decide t 9 11 = Commute.Unknown);
-  checkb "unknown is not independence" false (Commute.independent Commute.Unknown)
+    (decide t 9 11 = Commute_rules.Unknown);
+  checkb "unknown is not independence" false
+    (Commute_rules.independent Commute_rules.Unknown)
 
 let test_self_check () =
   let t = analyzer () in
   let ops = Array.map (fun src -> ("D", op src)) pool in
-  (match Commute.self_check t ops with
+  (match Commute_rules.self_check t ops with
    | Ok () -> ()
    | Error msgs -> Alcotest.failf "self-check: %s" (String.concat "; " msgs));
-  let m = Commute.matrix t ops in
+  let m = Commute_rules.matrix t ops in
   Array.iteri
     (fun i row ->
       Array.iteri
@@ -105,8 +110,8 @@ let prop_commutes_is_sound =
     (fun (i, j) ->
       let t = analyzer () in
       match decide t i j with
-      | Commute.Commutes -> String.equal (apply_both i j) (apply_both j i)
-      | Commute.Conflicts | Commute.Unknown -> true)
+      | Commute_rules.Commutes -> String.equal (apply_both i j) (apply_both j i)
+      | Commute_rules.Conflicts | Commute_rules.Unknown -> true)
 
 (* --- exhaustive exploration ---------------------------------------------- *)
 

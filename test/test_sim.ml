@@ -114,44 +114,92 @@ let test_compaction () =
   check "backlog drained" 0 (Sim.cancelled_backlog sim);
   check "queue empty" 0 (Sim.pending sim)
 
-(* Identical schedule/cancel scripts must fire identically on the calendar
-   queue and the legacy heap (DTX_SIM_QUEUE=heap) — the in-process version
-   of the byte-identical ablation gate. *)
+(* A reference dispatcher over the test-side binary heap: the (time, seq)
+   contract of {!Sim} spelled out naively — pop the minimum, skip it if
+   cancelled, else advance the clock and run it. *)
+module Reference = struct
+  type ev = { time : float; seq : int; action : unit -> unit }
+
+  type t = {
+    mutable clock : float;
+    mutable next_seq : int;
+    heap : ev Heap.t;
+    cancelled : (int, unit) Hashtbl.t;
+  }
+
+  let create () =
+    let cmp a b =
+      let c = compare a.time b.time in
+      if c <> 0 then c else compare a.seq b.seq
+    in
+    { clock = 0.0; next_seq = 0; heap = Heap.create ~cmp;
+      cancelled = Hashtbl.create 16 }
+
+  let schedule t ~delay action =
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    Heap.push t.heap { time = t.clock +. delay; seq; action };
+    seq
+
+  let cancel t seq = Hashtbl.replace t.cancelled seq ()
+
+  let rec run t =
+    match Heap.pop t.heap with
+    | None -> ()
+    | Some ev ->
+      if not (Hashtbl.mem t.cancelled ev.seq) then begin
+        t.clock <- ev.time;
+        ev.action ()
+      end;
+      run t
+end
+
+(* The same schedule/cancel script, driven once through [Sim] (calendar
+   queue, cancel marks, compaction past 64 cancellations) and once through
+   the reference dispatcher, must fire the same actions at the same times in
+   the same order. *)
 let prop_backends_agree =
   QCheck.Test.make ~name:"calendar and heap backends fire identically"
     ~count:100
     QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 60) (float_bound_exclusive 50.0))
-        (small_nat))
-    (fun (delays, cancel_every) ->
-      let trace backend =
-        Unix.putenv "DTX_SIM_QUEUE" backend;
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv "DTX_SIM_QUEUE" "calendar")
-          (fun () ->
-            let sim = Sim.create () in
-            let log = ref [] in
-            let ids =
-              List.mapi
-                (fun i d ->
-                  Sim.schedule sim ~delay:d (fun () ->
-                      log := (i, Sim.now sim) :: !log;
-                      if i mod 7 = 0 then
-                        ignore
-                          (Sim.schedule sim ~delay:1.0 (fun () ->
-                               log := (1000 + i, Sim.now sim) :: !log))))
-                delays
-            in
-            List.iteri
-              (fun i id ->
-                if cancel_every > 0 && i mod (cancel_every + 1) = 0 then
-                  Sim.cancel sim id)
-              ids;
-            Sim.run sim;
-            !log)
+      triple
+        (list_of_size Gen.(1 -- 200) (float_bound_exclusive 50.0))
+        small_nat bool)
+    (fun (delays, cancel_every, dense) ->
+      let script ~schedule ~cancel ~now ~run =
+        let log = ref [] in
+        let ids =
+          List.mapi
+            (fun i d ->
+              schedule d (fun () ->
+                  log := (i, now ()) :: !log;
+                  if i mod 7 = 0 then
+                    ignore
+                      (schedule 1.0 (fun () ->
+                           log := (1000 + i, now ()) :: !log))))
+            delays
+        in
+        List.iteri
+          (fun i id ->
+            (* sparse cancels one id in [cancel_every + 1]; dense cancels
+               all the others, enough to trip compaction *)
+            if cancel_every > 0 && (i mod (cancel_every + 1) = 0) <> dense
+            then cancel id)
+          ids;
+        run ();
+        !log
       in
-      trace "calendar" = trace "heap")
+      let sim = Sim.create () in
+      let reference = Reference.create () in
+      script
+        ~schedule:(fun delay f -> Sim.schedule sim ~delay f)
+        ~cancel:(Sim.cancel sim) ~now:(fun () -> Sim.now sim)
+        ~run:(fun () -> Sim.run sim)
+      = script
+          ~schedule:(fun delay f -> Reference.schedule reference ~delay f)
+          ~cancel:(Reference.cancel reference)
+          ~now:(fun () -> reference.Reference.clock)
+          ~run:(fun () -> Reference.run reference))
 
 let test_run_until () =
   let sim = Sim.create () in

@@ -1,7 +1,8 @@
-(* Unit + property tests for Dtx_util: Vec, Heap, Rng, Stats. *)
+(* Unit + property tests for Dtx_util: Vec, Calqueue, Rng, Stats — plus the
+   test-side binary heap ([Heap]) that serves as the calendar queue's
+   oracle. *)
 
 module Vec = Dtx_util.Vec
-module Heap = Dtx_util.Heap
 module Rng = Dtx_util.Rng
 module Stats = Dtx_util.Stats
 
@@ -129,29 +130,44 @@ let test_calqueue_peek_filter () =
   check "cleared" 0 (Calqueue.length q);
   Alcotest.(check bool) "empty" true (Calqueue.is_empty q)
 
-(* The property that lets the simulator swap queues without a trace diff:
-   any interleaving of pushes and pops drains in exactly the heap's
-   (time, seq) order — including sparse far-future times that force the
-   calendar's direct-search jump, and resize churn both ways. *)
+(* The calendar queue against the reference binary heap: any interleaving
+   of pushes, pops and [filter_in_place] compactions (the path [Sim.cancel]
+   takes) drains in exactly the heap's (time, seq) order — including sparse
+   far-future times that force the calendar's direct-search jump, and
+   resize churn both ways. *)
 let prop_calqueue_matches_heap =
   QCheck.Test.make ~name:"calendar queue = binary heap dispatch order"
     ~count:300
     QCheck.(
       list_of_size Gen.(1 -- 120)
-        (pair (oneofl [ 0.0; 0.5; 1.0; 3.0; 1e3; 1e7 ]) (float_bound_exclusive 50.0)))
+        (triple
+           (oneofl [ 0.0; 0.5; 1.0; 3.0; 1e3; 1e7 ])
+           (float_bound_exclusive 50.0) (int_bound 9)))
     (fun ops ->
       let cmp (t1, s1) (t2, s2) =
         let c = compare (t1 : float) t2 in
         if c <> 0 then c else compare (s1 : int) s2
       in
       let q = cq_create () and h = Heap.create ~cmp in
+      let heap_filter keep =
+        let all = Heap.to_list h in
+        Heap.clear h;
+        List.iter (fun x -> if keep x then Heap.push h x) all
+      in
       let ok = ref true in
       List.iteri
-        (fun i (base, jitter) ->
+        (fun i (base, jitter, k) ->
           Calqueue.push q (base +. jitter, i);
           Heap.push h (base +. jitter, i);
           (* pop a third of the time, interleaved with pushes *)
-          if i mod 3 = 0 then ok := !ok && Calqueue.pop q = Heap.pop h)
+          if i mod 3 = 0 then ok := !ok && Calqueue.pop q = Heap.pop h;
+          (* now and then drop one residue class of seqs in place *)
+          if k = 0 then begin
+            let keep (_, s) = s mod 4 <> i mod 4 in
+            Calqueue.filter_in_place keep q;
+            heap_filter keep;
+            ok := !ok && Calqueue.length q = Heap.length h
+          end)
         ops;
       let rec drain () =
         match (Calqueue.pop q, Heap.pop h) with
